@@ -134,7 +134,7 @@ void write_mode_json(std::FILE* f, const char* key, const ModeResult& mode) {
 
 int main(int argc, char** argv) {
   benchtool::BenchSetup setup;
-  std::vector<std::string> extra{"out", "grid"};
+  std::vector<std::string> extra{"out", "grid", "engine-jobs"};
   CliFlags flags;  // re-parse only the extra flags; shared ones go to setup
   if (!benchtool::parse_bench_flags(argc, argv, setup, extra)) return 1;
   if (!flags.parse(argc, argv,

@@ -58,7 +58,9 @@ SimTime DynamicStager::TrackedItem::latest_outstanding_deadline() const {
 SimTime DynamicStager::TrackedItem::latest_known_deadline() const {
   SimTime latest = SimTime::zero();
   for (const TrackedRequest& r : requests) {
-    latest = max(latest, r.request.deadline);
+    // A request closed by a refused promotion extends no gc window; the
+    // replay's gc time ignores it too (effective_scenario leaves it out).
+    if (r.keeps_copy) latest = max(latest, r.request.deadline);
   }
   return latest;
 }
@@ -153,6 +155,7 @@ void DynamicStager::note_arrival(TrackedItem& item, MachineId machine,
     if (tracked.request.destination != machine || tracked.resolved) continue;
     tracked.arrival = min(tracked.arrival, arrival);
     tracked.resolved = true;  // the destination now holds a copy: closed
+    tracked.keeps_copy = true;  // delivered with a capacity-checked forever hold
     tracked.satisfied = arrival <= tracked.request.deadline;
   }
 }
@@ -189,11 +192,41 @@ bool DynamicStager::copy_is_permanent(const TrackedItem& item,
                                       const Copy& copy) const {
   if (item.is_original_source(copy.machine)) return true;
   for (const TrackedRequest& r : item.requests) {
-    if (r.request.destination == copy.machine && !r.arrival.is_infinite()) {
+    if (r.request.destination == copy.machine && r.keeps_copy &&
+        !r.arrival.is_infinite()) {
       return true;  // a destination that received the item keeps it
     }
   }
   return false;
+}
+
+bool DynamicStager::permanent_hold_fits(const TrackedItem& item, const Copy& copy) const {
+  StorageTimeline forever(base_.machines[copy.machine.index()].capacity_bytes);
+  for (const TrackedItem& other : items_) {
+    for (const Copy& held : other.copies) {
+      if (held.machine != copy.machine || !copy_is_permanent(other, held)) continue;
+      forever.allocate(other.size_bytes, Interval{held.available_at, SimTime::infinity()});
+    }
+  }
+  return forever.fits(item.size_bytes, Interval{copy.available_at, SimTime::infinity()});
+}
+
+void DynamicStager::resolve_at_copy(const TrackedItem& item, TrackedRequest& tracked,
+                                    const Copy& copy) {
+  // The data is there: the request closes on the spot, on time iff the copy
+  // is already usable. A staged intermediate copy turns into a destination
+  // copy only if its forever hold fits. Otherwise the request closes
+  // unsatisfied — barring a copy loss, the machine's permanent holds only
+  // grow, so no later delivery could be kept either — and the copy stays
+  // intermediate until gc.
+  tracked.resolved = true;
+  tracked.keeps_copy = copy_is_permanent(item, copy) || permanent_hold_fits(item, copy);
+  if (!tracked.keeps_copy) {
+    bump("dynamic.promotions_refused");
+    return;
+  }
+  tracked.arrival = copy.available_at;
+  tracked.satisfied = copy.available_at <= tracked.request.deadline;
 }
 
 void DynamicStager::run_garbage_collection() {
@@ -365,14 +398,8 @@ void DynamicStager::on_event(const StagingEvent& event) {
     TrackedItem* item = find_item(new_request->item_name);
     DS_ASSERT_MSG(item != nullptr, "ad-hoc request for unknown item");
     TrackedRequest tracked{new_request->request, false, false, SimTime::infinity()};
-    // If the destination already holds a copy, the request resolves on the
-    // spot (the data is there; on time iff it is already usable).
     for (const Copy& copy : item->copies) {
-      if (copy.machine == tracked.request.destination) {
-        tracked.resolved = true;
-        tracked.arrival = copy.available_at;
-        tracked.satisfied = copy.available_at <= tracked.request.deadline;
-      }
+      if (copy.machine == tracked.request.destination) resolve_at_copy(*item, tracked, copy);
     }
     item->requests.push_back(tracked);
   } else if (const auto* outage = std::get_if<LinkOutageEvent>(&event.body)) {
@@ -577,9 +604,7 @@ void DynamicStager::rebuild_copies(ItemId id) {
     if (tracked.resolved) continue;
     for (const Copy& copy : item.copies) {
       if (copy.machine != tracked.request.destination) continue;
-      tracked.resolved = true;
-      tracked.arrival = copy.available_at;
-      tracked.satisfied = copy.available_at <= tracked.request.deadline;
+      resolve_at_copy(item, tracked, copy);
       break;
     }
   }
@@ -762,8 +787,10 @@ Scenario DynamicStager::effective_scenario() const {
       if (src.hold_window().empty()) continue;
       d.sources.push_back(src);
     }
+    // A request closed by a refused promotion names no destination: the
+    // simulator would hold the staged copy there forever, which did not fit.
     for (const TrackedRequest& tracked : item.requests) {
-      d.requests.push_back(tracked.request);
+      if (tracked.keeps_copy) d.requests.push_back(tracked.request);
     }
     effective.items.push_back(std::move(d));
   }

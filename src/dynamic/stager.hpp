@@ -15,11 +15,13 @@
 //     requests that arrived before the copy expired; expired copies cannot
 //     be revived by later requests.
 //   * A request whose destination already holds a (late) copy is closed as
-//     unsatisfied rather than kept pending.
+//     unsatisfied rather than kept pending; so is one whose destination holds
+//     a staged copy it has no room to keep forever.
 //
 // Validation: effective_scenario() reconstructs the availability that
 // actually existed over the whole run (original windows minus outage
-// periods, plus added items/requests), so the merged schedule can be
+// periods, plus added items/requests, minus requests closed for want of a
+// forever hold), so the merged schedule can be
 // replayed through sim/simulator like any static schedule.
 #pragma once
 
@@ -138,6 +140,12 @@ class DynamicStager {
     /// Withdrawn via CancelRequestEvent (implies resolved, never satisfied);
     /// cancellation is final — faults cannot re-open a cancelled request.
     bool cancelled = false;
+    /// The destination keeps the copy that served this request forever.
+    /// False when the request resolved at a staged intermediate copy whose
+    /// forever hold did not fit: the request closed unsatisfied, the copy
+    /// stays intermediate until gc, and neither gc times nor
+    /// effective_scenario() count the request.
+    bool keeps_copy = true;
   };
 
   /// A copy-loss fault that destroyed a copy at `machine` at time `at`.
@@ -196,6 +204,12 @@ class DynamicStager {
   /// True for copies that persist to the end of the run: original sources
   /// and destinations that received the item.
   bool copy_is_permanent(const TrackedItem& item, const Copy& copy) const;
+  /// True iff `copy` held forever fits next to every permanent copy on its
+  /// machine (the capacity check for promoting a staged copy).
+  bool permanent_hold_fits(const TrackedItem& item, const Copy& copy) const;
+  /// Resolves `tracked` at an existing copy on its destination.
+  void resolve_at_copy(const TrackedItem& item, TrackedRequest& tracked,
+                       const Copy& copy);
   void run_garbage_collection();
   void replan();
   /// `reason` labels the requeue trace events ("link_outage"/"link_degrade").

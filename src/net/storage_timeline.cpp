@@ -6,47 +6,55 @@
 
 namespace datastage {
 
+namespace {
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+}  // namespace
+
 StorageTimeline::StorageTimeline(std::int64_t capacity_bytes)
     : capacity_(capacity_bytes) {
   DS_ASSERT(capacity_bytes >= 0);
-  base_.push_back(Breakpoint{SimTime::zero(), 0});
+  chunks_.push_back(Chunk{{Breakpoint{SimTime::zero(), 0}}, SimTime::zero(), 0, 0});
 }
 
-std::int64_t StorageTimeline::base_at(SimTime t) const {
+std::pair<std::size_t, std::size_t> StorageTimeline::step_at(SimTime t) const {
   const auto it = std::upper_bound(
-      base_.begin(), base_.end(), t,
+      chunks_.begin(), chunks_.end(), t,
+      [](SimTime value, const Chunk& c) { return value < c.first; });
+  if (it == chunks_.begin()) return {0, kNone};
+  const Chunk& chunk = *std::prev(it);
+  const auto jt = std::upper_bound(
+      chunk.items.begin(), chunk.items.end(), t,
       [](SimTime value, const Breakpoint& bp) { return value < bp.time; });
-  if (it == base_.begin()) return 0;  // before time zero
-  return std::prev(it)->usage;
-}
-
-std::int64_t StorageTimeline::pending_at(SimTime t) const {
-  std::int64_t total = 0;
-  for (const auto& [iv, bytes] : pending_) {
-    if (iv.contains(t)) total += bytes;
-  }
-  return total;
+  // chunk.first <= t, so at least one breakpoint of this chunk precedes jt.
+  return {static_cast<std::size_t>(it - chunks_.begin()) - 1,
+          static_cast<std::size_t>(jt - chunk.items.begin()) - 1};
 }
 
 std::int64_t StorageTimeline::usage_at(SimTime t) const {
-  return base_at(t) + pending_at(t);
+  const auto [ci, ii] = step_at(t);
+  if (ii == kNone) return 0;  // before every breakpoint
+  return chunks_[ci].items[ii].usage + chunks_[ci].add;
 }
 
 std::int64_t StorageTimeline::max_usage(const Interval& iv) const {
   if (iv.empty()) return 0;
-  // The maximum of a step function over [begin, end) is attained at the
-  // window begin, at a base breakpoint inside it, or where a pending
-  // allocation starts inside it — usage only rises at those instants.
-  std::int64_t best = usage_at(iv.begin);
-  const auto first = std::upper_bound(
-      base_.begin(), base_.end(), iv.begin,
-      [](SimTime value, const Breakpoint& bp) { return value < bp.time; });
-  for (auto it = first; it != base_.end() && it->time < iv.end; ++it) {
-    best = std::max(best, it->usage + pending_at(it->time));
-  }
-  for (const auto& [piv, bytes] : pending_) {
-    if (piv.begin > iv.begin && piv.begin < iv.end) {
-      best = std::max(best, usage_at(piv.begin));
+  // The maximum of a step function over [begin, end) is the largest level
+  // among the step in effect at begin and every breakpoint inside the
+  // window. Before the first breakpoint the level is 0.
+  auto [ci, from] = step_at(iv.begin);
+  if (from == kNone) from = 0;  // a window from before time zero
+  std::int64_t best = 0;
+  for (std::size_t c = ci; c < chunks_.size(); ++c, from = 0) {
+    const Chunk& chunk = chunks_[c];
+    if (from == 0 && chunk.items.back().time < iv.end) {
+      best = std::max(best, chunk.max + chunk.add);  // wholly inside
+      continue;
+    }
+    for (std::size_t j = from; j < chunk.items.size(); ++j) {
+      if (chunk.items[j].time >= iv.end) return best;
+      best = std::max(best, chunk.items[j].usage + chunk.add);
     }
   }
   return best;
@@ -58,51 +66,54 @@ void StorageTimeline::allocate(std::int64_t bytes, const Interval& iv) {
   DS_ASSERT_MSG(max_usage(iv) + bytes <= capacity_,
                 "storage allocation exceeds machine capacity (caller must "
                 "check fits() first)");
-  pending_.emplace_back(iv, bytes);
-  if (pending_.size() >= kMaxPending) compact();
+  split_at(iv.begin);
+  if (!iv.end.is_infinite()) split_at(iv.end);
+
+  // Every breakpoint in [begin, end) rises by `bytes`: whole chunks through
+  // their lazy add, the edge chunks one breakpoint at a time.
+  auto [ci, from] = step_at(iv.begin);  // the breakpoint at iv.begin
+  for (std::size_t c = ci; c < chunks_.size(); ++c, from = 0) {
+    Chunk& chunk = chunks_[c];
+    if (from == 0 && chunk.items.back().time < iv.end) {
+      chunk.add += bytes;
+      continue;
+    }
+    for (std::size_t j = from; j < chunk.items.size(); ++j) {
+      if (chunk.items[j].time >= iv.end) return;
+      chunk.items[j].usage += bytes;
+      chunk.max = std::max(chunk.max, chunk.items[j].usage);
+    }
+  }
 }
 
-void StorageTimeline::compact() {
-  if (pending_.empty()) return;
+void StorageTimeline::split_at(SimTime t) {
+  const auto [ci, ii] = step_at(t);
+  DS_ASSERT_MSG(ii != kNone, "storage holds never begin before time zero");
+  Chunk& chunk = chunks_[ci];
+  if (chunk.items[ii].time == t) return;
+  // The new breakpoint continues the level of the step it splits.
+  chunk.items.insert(chunk.items.begin() + static_cast<std::ptrdiff_t>(ii) + 1,
+                     Breakpoint{t, chunk.items[ii].usage});
+  maybe_split(ci);
+}
 
-  // Delta events: +bytes where an allocation begins, -bytes where it ends.
-  std::vector<std::pair<SimTime, std::int64_t>> events;
-  events.reserve(pending_.size() * 2);
-  for (const auto& [iv, bytes] : pending_) {
-    events.emplace_back(iv.begin, bytes);
-    events.emplace_back(iv.end, -bytes);
-  }
-  std::sort(events.begin(), events.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  std::vector<Breakpoint> merged;
-  merged.reserve(base_.size() + events.size());
-  std::size_t bi = 0;
-  std::size_t ei = 0;
-  std::int64_t base_level = 0;
-  std::int64_t delta = 0;
-  while (bi < base_.size() || ei < events.size()) {
-    SimTime t = bi < base_.size() ? base_[bi].time : events[ei].first;
-    if (ei < events.size() && events[ei].first < t) t = events[ei].first;
-    if (bi < base_.size() && base_[bi].time == t) {
-      base_level = base_[bi].usage;
-      ++bi;
-    }
-    while (ei < events.size() && events[ei].first == t) {
-      delta += events[ei].second;
-      ++ei;
-    }
-    // Each time is visited exactly once; drop breakpoints that do not change
-    // the level to keep adjacent values distinct.
-    const std::int64_t level = base_level + delta;
-    if (merged.empty() || merged.back().usage != level) {
-      merged.push_back(Breakpoint{t, level});
-    }
-  }
-  DS_ASSERT(delta == 0);  // every pending begin has a matching end
-
-  base_ = std::move(merged);
-  pending_.clear();
+void StorageTimeline::maybe_split(std::size_t chunk) {
+  Chunk& full = chunks_[chunk];
+  if (full.items.size() < 2 * kChunk) return;
+  const auto summarize = [](Chunk& c) {
+    c.first = c.items.front().time;
+    c.max = c.items.front().usage;
+    for (const Breakpoint& bp : c.items) c.max = std::max(c.max, bp.usage);
+  };
+  Chunk right;
+  right.items.assign(full.items.begin() + static_cast<std::ptrdiff_t>(kChunk),
+                     full.items.end());
+  right.add = full.add;
+  summarize(right);
+  full.items.resize(kChunk);
+  summarize(full);
+  chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(chunk) + 1,
+                 std::move(right));
 }
 
 }  // namespace datastage

@@ -5,12 +5,20 @@
 // track *usage* as a piecewise-constant step function keyed by breakpoints;
 // free capacity over a window is capacity minus the maximum usage inside it.
 //
-// Layout: a flat sorted breakpoint vector (`base_`) plus a small bounded
-// overlay of not-yet-merged allocations (`pending_`). Queries combine both;
-// once the overlay fills up it is folded into the base in one linear merge
-// (amortized batch compaction). Compared to the previous std::map this
-// removes the per-breakpoint node allocations and pointer chasing that
-// dominated at 5k+ machines, while keeping allocate() amortized O(base/k).
+// Layout: the breakpoints live in bounded chunks, the same shape as
+// util/chunked_intervals (kChunk = 32, split at 2 * kChunk). Each chunk
+// carries the maximum of its breakpoints' stored usage and a lazy `add`
+// that applies to every breakpoint in it. allocate() splits the step
+// function at the window's begin (and end, when finite), adds the bytes
+// directly to the partially covered edge chunks and to the lazy `add` of
+// every chunk wholly inside the window. max_usage() reads the edge chunks
+// breakpoint by breakpoint and every chunk wholly inside the window as
+// `max + add`. With C chunks and n breakpoints in the window, a query
+// costs O(log C + n / kChunk + kChunk) and is exact: destination holds run
+// to infinity, so fit checks no longer scan every later breakpoint.
+//
+// Times at or beyond SimTime::infinity() are the end of time: a window
+// ending there covers every later breakpoint and splits nothing at its end.
 #pragma once
 
 #include <cstdint>
@@ -47,27 +55,35 @@ class StorageTimeline {
   std::int64_t usage_at(SimTime t) const;
 
  private:
-  // Usage level starting at `time`, lasting until the next breakpoint.
+  // Split threshold 2 * kChunk keeps every chunk in [kChunk, 2 * kChunk)
+  // after its first split, as in ChunkedIntervalSet.
+  static constexpr std::size_t kChunk = 32;
+
+  // Usage level starting at `time`, lasting until the next breakpoint. The
+  // stored level excludes the owning chunk's lazy `add`.
   struct Breakpoint {
     SimTime time;
     std::int64_t usage;
   };
 
-  // Pending allocations folded into `base_` once the overlay reaches this
-  // size: every query scans the overlay linearly, so it must stay small.
-  static constexpr std::size_t kMaxPending = 16;
+  struct Chunk {
+    std::vector<Breakpoint> items;  // times strictly ascending, non-empty
+    SimTime first;                  // == items.front().time
+    std::int64_t max = 0;           // max of items[].usage
+    std::int64_t add = 0;           // true level of items[i] is usage + add
+  };
 
-  // Base usage level in effect at `t` (ignores the pending overlay).
-  std::int64_t base_at(SimTime t) const;
-  // Sum of pending deltas whose interval contains `t`.
-  std::int64_t pending_at(SimTime t) const;
-  // Folds `pending_` into `base_` with a single two-pointer merge.
-  void compact();
+  // Position (chunk, index-in-chunk) of the last breakpoint with time <= t:
+  // the breakpoint whose level is in effect at t. {0, size_t(-1)} when t is
+  // before time zero (usage there is 0).
+  std::pair<std::size_t, std::size_t> step_at(SimTime t) const;
+  // Ensures a breakpoint exists at `t` without changing any level.
+  void split_at(SimTime t);
+  void maybe_split(std::size_t chunk);
 
-  // Invariant: contains time SimTime::zero() (items never exist before time
-  // 0), times strictly ascending, adjacent usage values differ.
-  std::vector<Breakpoint> base_;
-  std::vector<std::pair<Interval, std::int64_t>> pending_;
+  // Invariant: globally sorted, chunk i precedes chunk i + 1, never empty;
+  // the first breakpoint is at time zero (items never exist before it).
+  std::vector<Chunk> chunks_;
   std::int64_t capacity_;
 };
 

@@ -155,6 +155,10 @@ class SchedulerService {
 
   SimTime now() const { return stager_.now(); }
 
+  /// The world finish()'s merged schedule replays against in the simulator
+  /// (DynamicStager::effective_scenario).
+  Scenario effective_scenario() const { return stager_.effective_scenario(); }
+
  private:
   /// An admission ledger entry; committed_value() re-evaluates each against
   /// the live plan (a fault can un-commit what a submit once locked in).

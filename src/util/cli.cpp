@@ -20,21 +20,11 @@ bool CliFlags::parse(int argc, const char* const* argv,
       continue;
     }
     arg.erase(0, 2);
-    std::string name;
-    std::string value;
+    // `--flag=value` or bare `--flag` (== "true"); a following token is
+    // never taken as the value, so a boolean cannot swallow a positional.
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-    } else {
-      name = arg;
-      // `--flag value` form when the next token is not itself a flag.
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        value = argv[++i];
-      } else {
-        value = "true";
-      }
-    }
+    const std::string name = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "true" : arg.substr(eq + 1);
     if (!is_known(name)) {
       std::fprintf(stderr, "unknown flag --%s; known flags:", name.c_str());
       for (const auto& k : known) std::fprintf(stderr, " --%s", k.c_str());

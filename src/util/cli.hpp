@@ -1,8 +1,8 @@
 // Minimal command-line flag parsing for examples and bench binaries.
 //
-// Supports `--name=value`, `--name value` and boolean `--name`. Unrecognized
-// flags are an error so typos surface immediately; positional arguments are
-// collected for callers that want them.
+// Supports `--name=value` and boolean `--name`; every other token is a
+// positional argument, so `--warn-only a.json b.json` has two positionals.
+// Unrecognized flags are an error so typos surface immediately.
 #pragma once
 
 #include <cstdint>

@@ -18,35 +18,28 @@ for bench in "$BENCH_DIR"/*; do
         echo "FAILED: $name" >&2
         failures=$((failures + 1))
       fi
+      continue
       ;;
-    perf_scale)
-      # The default tier set ends at `huge` (500k requests) — far past a
-      # smoke budget. The small tier exercises the same code path.
-      out="$("$bench" --tier=small --out=/dev/null 2>&1)" || {
-        echo "FAILED: $name" >&2
-        echo "$out" >&2
-        failures=$((failures + 1))
-        continue
-      }
-      echo "$out" | grep -q '|' || {
-        echo "FAILED (no table): $name" >&2
-        failures=$((failures + 1))
-      }
-      ;;
-    *)
-      out="$("$bench" --cases=1 2>&1)" || {
-        echo "FAILED: $name" >&2
-        echo "$out" >&2
-        failures=$((failures + 1))
-        continue
-      }
-      # Every table bench prints at least one pipe-framed row.
-      echo "$out" | grep -q '|' || {
-        echo "FAILED (no table): $name" >&2
-        failures=$((failures + 1))
-      }
-      ;;
+    # All three grid sizes with more than one engine job, so the parallel
+    # ablation checks parallel schedules against serial ones.
+    perf_engine) args="--cases=1 --engine-jobs=8 --out=/dev/null" ;;
+    # perf_scale's default tiers are the ones that finish (well under a
+    # second); xlarge and huge run only when named.
+    perf_scale) args="--out=/dev/null" ;;
+    *) args="--cases=1" ;;
   esac
+  # shellcheck disable=SC2086  # args is a word list
+  out="$("$bench" $args 2>&1)" || {
+    echo "FAILED: $name" >&2
+    echo "$out" >&2
+    failures=$((failures + 1))
+    continue
+  }
+  # Every table bench prints at least one pipe-framed row.
+  echo "$out" | grep -q '|' || {
+    echo "FAILED (no table): $name" >&2
+    failures=$((failures + 1))
+  }
 done
 
 [ "$failures" -eq 0 ] && echo "bench smoke test passed"

@@ -82,9 +82,8 @@ TEST(StorageTimelineTest, ManyAdjacentAllocations) {
   EXPECT_EQ(st.max_usage(iv(0, 100)), 15);
 }
 
-// Oracle for the flat-vector + pending-overlay layout: every query must give
-// the same answer as a brute-force sum over the raw allocation list, across
-// enough allocations to cross the batch-compaction threshold several times.
+// Every query must give the same answer as a brute-force sum over the raw
+// allocation list, on short random windows.
 TEST(StorageTimelineTest, RandomAllocationsMatchBruteForce) {
   constexpr std::int64_t kDomain = 500;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -116,6 +115,138 @@ TEST(StorageTimelineTest, RandomAllocationsMatchBruteForce) {
       EXPECT_EQ(st.max_usage(iv(qa, qb)), best)
           << "seed " << seed << " step " << step << " [" << qa << "," << qb << ")";
     }
+  }
+}
+
+// Naive per-instant oracle: one usage level per microsecond of [0, kLast),
+// plus one level for every instant from kLast on (only infinite holds reach
+// that far). Each allocation adds to every instant it covers.
+class InstantOracle {
+ public:
+  static constexpr std::int64_t kLast = 2600;
+
+  InstantOracle() : levels_(index(kLast + 1), 0) {}
+
+  void allocate(std::int64_t bytes, std::int64_t begin, std::int64_t end) {
+    for (std::int64_t t = begin; t < std::min(end, kLast + 1); ++t) level(t) += bytes;
+  }
+
+  std::int64_t at(std::int64_t t) const { return levels_[index(std::min(t, kLast))]; }
+
+  // Max over [begin, end); kLast + 1 or more stands for an infinite end.
+  std::int64_t max_over(std::int64_t begin, std::int64_t end) const {
+    std::int64_t best = 0;
+    for (std::int64_t t = begin; t < std::min(end, kLast + 1); ++t) {
+      best = std::max(best, levels_[index(t)]);
+    }
+    return best;
+  }
+
+ private:
+  static std::size_t index(std::int64_t t) { return static_cast<std::size_t>(t); }
+  std::int64_t& level(std::int64_t t) { return levels_[index(t)]; }
+
+  std::vector<std::int64_t> levels_;
+};
+
+constexpr std::int64_t kForever = InstantOracle::kLast + 1;
+
+Interval window(std::int64_t begin, std::int64_t end) {
+  return Interval{SimTime::from_usec(begin),
+                  end >= kForever ? SimTime::infinity() : SimTime::from_usec(end)};
+}
+
+// Exhaustive sweep over every breakpoint time t: windows starting at t, just
+// before t and between t and the previous breakpoint; windows ending at t
+// (every chunk boundary is some breakpoint's time); infinite windows.
+void expect_matches_everywhere(const StorageTimeline& st, const InstantOracle& oracle,
+                               const std::vector<std::int64_t>& times,
+                               std::uint64_t seed, int step) {
+  std::int64_t prev = 0;
+  for (const std::int64_t t : times) {
+    const auto where = [&] {
+      return ::testing::Message() << "seed " << seed << " step " << step << " t " << t;
+    };
+    EXPECT_EQ(st.usage_at(SimTime::from_usec(t)), oracle.at(t)) << where();
+    for (const std::int64_t begin : {t, t - 1, (prev + t) / 2, prev, std::int64_t{0}}) {
+      if (begin < 0) continue;
+      EXPECT_EQ(st.max_usage(window(begin, kForever)), oracle.max_over(begin, kForever))
+          << where() << " [" << begin << ",inf)";
+      if (begin < t) {
+        EXPECT_EQ(st.max_usage(window(begin, t)), oracle.max_over(begin, t))
+            << where() << " [" << begin << "," << t << ")";
+      }
+      EXPECT_EQ(st.max_usage(window(begin, t + 1)), oracle.max_over(begin, t + 1))
+          << where() << " [" << begin << "," << t + 1 << ")";
+    }
+    prev = t;
+  }
+}
+
+// Randomized suite for the chunked max/lazy-add layout: hundreds of
+// breakpoints on one timeline (many chunk splits), repeated allocations at
+// identical begin and end, infinite holds, and allocations that exactly fill
+// capacity, all checked against the per-instant oracle.
+TEST(StorageTimelinePropertyTest, ChunkedLayoutMatchesInstantOracle) {
+  constexpr std::int64_t kCapacity = 1'000'000;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    StorageTimeline st(kCapacity);
+    InstantOracle oracle;
+    std::vector<std::int64_t> times{0};  // distinct breakpoint times, sorted
+    const auto note_time = [&](std::int64_t t) {
+      const auto it = std::lower_bound(times.begin(), times.end(), t);
+      if (it == times.end() || *it != t) times.insert(it, t);
+    };
+    std::int64_t begin = 0;
+    std::int64_t end = 1;
+    int exact_fills = 0;
+    for (int step = 0; step < 600; ++step) {
+      // Repeat the previous window now and then; otherwise reuse existing
+      // breakpoints as begin or end, or draw fresh ones.
+      if (!rng.bernoulli(0.125)) {
+        begin = rng.bernoulli(0.25) ? times[static_cast<std::size_t>(rng.uniform_i64(
+                                          0, static_cast<std::int64_t>(times.size()) - 1))]
+                                    : rng.uniform_i64(0, 2000);
+        const auto later = std::upper_bound(times.begin(), times.end(), begin);
+        if (rng.bernoulli(0.125)) {
+          end = kForever;
+        } else if (later != times.end() && rng.bernoulli(0.25)) {
+          end = *later;
+        } else {
+          end = begin + rng.uniform_i64(1, 400);
+        }
+      }
+      const Interval iv = window(begin, end);
+      const std::int64_t room = kCapacity - oracle.max_over(begin, end);
+      ASSERT_EQ(st.min_free(iv), room) << "seed " << seed << " step " << step;
+      const bool fill = end < kForever && rng.bernoulli(0.05);
+      const std::int64_t bytes = fill ? room : rng.uniform_i64(1, 2000);
+      if (bytes > room) {
+        EXPECT_FALSE(st.fits(bytes, iv)) << "seed " << seed << " step " << step;
+        continue;
+      }
+      EXPECT_TRUE(st.fits(bytes, iv)) << "seed " << seed << " step " << step;
+      st.allocate(bytes, iv);
+      oracle.allocate(bytes, begin, end);
+      note_time(begin);
+      if (end < kForever) note_time(end);
+      if (fill && bytes > 0) {
+        ++exact_fills;
+        EXPECT_EQ(st.max_usage(iv), kCapacity);
+        EXPECT_FALSE(st.fits(1, iv));
+      }
+
+      const std::int64_t qa = rng.uniform_i64(0, InstantOracle::kLast);
+      const std::int64_t qb = rng.bernoulli(0.5) ? kForever : qa + rng.uniform_i64(1, 300);
+      EXPECT_EQ(st.max_usage(window(qa, qb)), oracle.max_over(qa, qb))
+          << "seed " << seed << " step " << step << " [" << qa << "," << qb << ")";
+      if (step % 100 == 99) {
+        ASSERT_NO_FATAL_FAILURE(expect_matches_everywhere(st, oracle, times, seed, step));
+      }
+    }
+    EXPECT_GT(times.size(), 200u) << "seed " << seed;
+    EXPECT_GT(exact_fills, 0) << "seed " << seed;
   }
 }
 

@@ -21,10 +21,15 @@ TEST(CliFlagsTest, EqualsSyntax) {
   EXPECT_EQ(flags.get_string("name", ""), "hello");
 }
 
-TEST(CliFlagsTest, SpaceSyntax) {
+// A bare boolean never takes the next token as its value: this is how
+// `datastage_benchdiff --warn-only BASE NEW` must parse.
+TEST(CliFlagsTest, BareBooleanBeforePositionalsKeepsThem) {
   CliFlags flags;
-  ASSERT_TRUE(parse(flags, {"--cases", "7"}, {"cases"}));
-  EXPECT_EQ(flags.get_int("cases", 0), 7);
+  ASSERT_TRUE(parse(flags, {"--warn-only", "a.json", "b.json"}, {"warn-only"}));
+  EXPECT_TRUE(flags.get_bool("warn-only", false));
+  ASSERT_EQ(flags.positional().size(), 2u);
+  EXPECT_EQ(flags.positional()[0], "a.json");
+  EXPECT_EQ(flags.positional()[1], "b.json");
 }
 
 TEST(CliFlagsTest, BareBooleanFlag) {
