@@ -23,6 +23,19 @@
 #include "util/log.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
+
+// Build identity for the BENCH_*.json "env" block, stamped by
+// bench/CMakeLists.txt at configure time.
+#ifndef DATASTAGE_GIT_REV
+#define DATASTAGE_GIT_REV "unknown"
+#endif
+#ifndef DATASTAGE_COMPILER
+#define DATASTAGE_COMPILER "unknown"
+#endif
+#ifndef DATASTAGE_BUILD_TYPE
+#define DATASTAGE_BUILD_TYPE "unknown"
+#endif
 
 namespace datastage::benchtool {
 
@@ -97,6 +110,20 @@ inline bool parse_bench_flags(int argc, const char* const* argv, BenchSetup& set
     return false;
   }
   return true;
+}
+
+/// Writes the `"env"` member every BENCH_*.json record carries right after
+/// its `"bench"` key (two-space indent, trailing comma), so trajectories can
+/// be compared across machines and builds. Every value is a string:
+/// datastage_benchdiff compares numbers only, so a different host or
+/// compiler never reads as a regression.
+inline void write_env_json(std::FILE* f) {
+  std::fprintf(f,
+               "  \"env\": {\n    \"hardware_threads\": \"%zu\",\n"
+               "    \"compiler\": \"%s\",\n    \"build_type\": \"%s\",\n"
+               "    \"git_rev\": \"%s\"\n  },\n",
+               ThreadPool::hardware_jobs(), DATASTAGE_COMPILER,
+               DATASTAGE_BUILD_TYPE, DATASTAGE_GIT_REV);
 }
 
 inline void print_header(const std::string& title, const BenchSetup& setup) {

@@ -108,8 +108,10 @@ int main(int argc, char** argv) {
 
   std::FILE* f = toolflags::open_output_cfile(out_path, "bench output");
   if (f == nullptr) return 2;
+  std::fprintf(f, "{\n  \"bench\": \"perf_faults\",\n");
+  benchtool::write_env_json(f);
   std::fprintf(f,
-               "{\n  \"bench\": \"perf_faults\",\n  \"cases\": %zu,\n"
+               "  \"cases\": %zu,\n"
                "  \"seed\": %llu,\n  \"fault_seed\": %llu,\n"
                "  \"wall_ns\": %" PRId64 ",\n  \"series\": [\n",
                setup.config.cases,

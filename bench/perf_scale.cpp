@@ -130,8 +130,10 @@ int main(int argc, char** argv) {
 
   std::FILE* f = toolflags::open_output_cfile(out_path, "bench output");
   if (f == nullptr) return 2;
+  std::fprintf(f, "{\n  \"bench\": \"perf_scale\",\n");
+  benchtool::write_env_json(f);
   std::fprintf(f,
-               "{\n  \"bench\": \"perf_scale\",\n  \"scheduler\": \"%s\",\n"
+               "  \"scheduler\": \"%s\",\n"
                "  \"seed\": %llu,\n  \"tiers\": [\n",
                spec.name().c_str(),
                static_cast<unsigned long long>(setup.config.seed));

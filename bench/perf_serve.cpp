@@ -185,8 +185,10 @@ int main(int argc, char** argv) {
 
   std::FILE* f = toolflags::open_output_cfile(out_path, "bench output");
   if (f == nullptr) return 2;
+  std::fprintf(f, "{\n  \"bench\": \"perf_serve\",\n");
+  benchtool::write_env_json(f);
   std::fprintf(f,
-               "{\n  \"bench\": \"perf_serve\",\n  \"preset\": \"congested\",\n"
+               "  \"preset\": \"congested\",\n"
                "  \"cases\": %zu,\n  \"seed\": %llu,\n  \"modes\": {\n",
                setup.config.cases,
                static_cast<unsigned long long>(setup.config.seed));

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/assert.hpp"
-
 namespace datastage {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -17,8 +15,6 @@ ThreadPool::ThreadPool(std::size_t threads) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    DS_ASSERT_MSG(job_ == nullptr && !async_in_flight_,
-                  "destroying ThreadPool with a batch in flight (missing join)");
     stop_ = true;
   }
   work_cv_.notify_all();
@@ -30,37 +26,8 @@ std::size_t ThreadPool::hardware_jobs() {
   return reported == 0 ? 1 : static_cast<std::size_t>(reported);
 }
 
-void ThreadPool::start_batch_locked(
-    std::size_t job_count, const std::function<void(std::size_t, std::size_t)>* job) {
-  DS_ASSERT_MSG(job_ == nullptr && !async_in_flight_, "batch already in flight");
-  job_ = job;
-  job_count_ = job_count;
-  // One chunk per lock acquisition: big batches claim ranges to keep mutex
-  // traffic O(workers), small batches claim single indices so uneven job
-  // costs (Dijkstra over different plans) still balance.
-  chunk_ = std::max<std::size_t>(1, job_count / (workers_.size() * 16));
-  next_index_ = 0;
-  completed_ = 0;
-  first_error_ = nullptr;
-  first_error_index_ = 0;
-  ++batch_id_;
-}
-
-void ThreadPool::wait_batch_and_rethrow() {
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return completed_ == job_count_; });
-    job_ = nullptr;
-    error = first_error_;
-    first_error_ = nullptr;
-  }
-  if (error != nullptr) std::rethrow_exception(error);
-}
-
 void ThreadPool::run_indexed(std::size_t job_count,
                              const std::function<void(std::size_t)>& job) {
-  if (job_count == 0) return;
   const std::function<void(std::size_t, std::size_t)> adapter =
       [&job](std::size_t, std::size_t index) { job(index); };
   parallel_for(job_count, adapter);
@@ -72,53 +39,28 @@ void ThreadPool::parallel_for(
   std::lock_guard<std::mutex> batch_lock(batch_mutex_);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    start_batch_locked(job_count, &job);
+    job_ = &job;
+    job_count_ = job_count;
+    // One chunk per lock acquisition: big batches claim ranges to keep mutex
+    // traffic O(workers), small batches claim single indices so uneven job
+    // costs (Dijkstra over different plans) still balance.
+    chunk_ = std::max<std::size_t>(1, job_count / (workers_.size() * 16));
+    next_index_ = 0;
+    completed_ = 0;
+    first_error_ = nullptr;
+    first_error_index_ = 0;
+    ++batch_id_;
   }
   work_cv_.notify_all();
-  wait_batch_and_rethrow();
-}
-
-void ThreadPool::begin(std::size_t job_count,
-                       std::function<void(std::size_t, std::size_t)> job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (job_count == 0) {
-      DS_ASSERT_MSG(job_ == nullptr && !async_in_flight_, "batch already in flight");
-      async_in_flight_ = true;  // empty batch: nothing dispatched, join is a no-op
-      return;
-    }
-    owned_job_ = std::move(job);
-    start_batch_locked(job_count, &owned_job_);
-    async_in_flight_ = true;
-  }
-  work_cv_.notify_all();
-}
-
-void ThreadPool::join() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!async_in_flight_) return;
-    if (job_ == nullptr) {  // empty batch recorded by begin(0, ...)
-      async_in_flight_ = false;
-      return;
-    }
-  }
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [this] { return completed_ == job_count_; });
     job_ = nullptr;
-    async_in_flight_ = false;
     error = first_error_;
     first_error_ = nullptr;
   }
-  owned_job_ = nullptr;  // release captures outside the lock
   if (error != nullptr) std::rethrow_exception(error);
-}
-
-bool ThreadPool::batch_in_flight() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return async_in_flight_ || job_ != nullptr;
 }
 
 void ThreadPool::worker_loop(std::size_t worker) {

@@ -161,9 +161,8 @@ TEST(EngineEquivalenceJobsTest, Jobs1MatchesJobs8) {
 //
 // The parallel refresh path must be *byte-identical* to the serial engine in
 // every observable output — not just the schedule and outcomes, but the full
-// metrics registry (including the speculation counters, which are defined
-// over logical batches) and the structured trace stream. Any divergence means
-// the deterministic-merge contract broke.
+// metrics registry and the structured trace stream. Any divergence means the
+// deterministic-merge contract broke.
 
 StagingResult run_observed(const SchedulerSpec& spec, const Scenario& scenario,
                            std::size_t engine_jobs, std::string* metrics_json,
@@ -262,8 +261,7 @@ bool candidate_order(const Candidate& a, const Candidate& b) {
   return ka < kb;
 }
 
-// all_candidates()/candidate_count() share best_candidate()'s refresh path —
-// including the merge of a speculative batch launched by the previous commit.
+// all_candidates()/candidate_count() share best_candidate()'s refresh path.
 // After every commit (= one invalidation wave) the enumeration must agree
 // with the tournament winner and with the maintained count, in both serial
 // and parallel modes.
@@ -300,6 +298,80 @@ TEST(EngineCandidateParityTest, EnumerationAgreesWithTournamentAfterInvalidation
         ++rounds;
       }
       EXPECT_GT(rounds, 0u) << label;
+      ++case_index;
+    }
+  }
+}
+
+// A caller may stop the loop at any point and call finish(): the commit that
+// ends the run leaves its invalidated plans dirty, and finish() must report
+// the same result, counters and trace whatever the thread count.
+StagingResult run_stopped_after(const SchedulerSpec& spec, const Scenario& scenario,
+                                std::size_t engine_jobs, std::size_t stop_after,
+                                std::string* metrics_json, std::string* trace_text) {
+  EngineOptions options;
+  options.criterion = spec.criterion;
+  options.eu = EUWeights::from_log10_ratio(1.0);
+  options.engine_jobs = engine_jobs;
+  obs::MetricsRegistry registry;
+  std::ostringstream trace_os;
+  obs::RunTrace trace(trace_os);
+  obs::RunObserver observer;
+  observer.metrics = &registry;
+  observer.trace = &trace;
+  options.observer = &observer;
+  StagingEngine engine(scenario, options);
+  while (engine.iterations() < stop_after) {
+    const std::optional<Candidate> best = engine.best_candidate();
+    if (!best.has_value()) break;
+    switch (spec.heuristic) {
+      case HeuristicKind::kPartial:
+        engine.apply_hop(*best);
+        break;
+      case HeuristicKind::kFullOne:
+        engine.apply_full_path_one(*best);
+        break;
+      case HeuristicKind::kFullAll:
+        engine.apply_full_path_all(*best);
+        break;
+    }
+  }
+  StagingResult result = engine.finish();
+  *metrics_json = registry.to_json();
+  *trace_text = trace_os.str();
+  return result;
+}
+
+TEST(EngineParallelStopTest, FinishHalfwayMatchesSerial) {
+  for (const HeuristicKind kind :
+       {HeuristicKind::kPartial, HeuristicKind::kFullOne, HeuristicKind::kFullAll}) {
+    const SchedulerSpec spec{kind, CostCriterion::kC4};
+    std::size_t case_index = 0;
+    for (const Scenario& scenario : grid_scenarios()) {
+      std::string full_metrics;
+      std::string full_trace;
+      const StagingResult full =
+          run_observed(spec, scenario, 1, &full_metrics, &full_trace);
+      const std::size_t half = full.iterations / 2;
+      const std::string label = spec.name() + " case " + std::to_string(case_index);
+      ASSERT_GT(half, 0u) << label;
+
+      std::string serial_metrics;
+      std::string serial_trace;
+      const StagingResult serial = run_stopped_after(
+          spec, scenario, 1, half, &serial_metrics, &serial_trace);
+      EXPECT_EQ(serial.iterations, half) << label;
+      EXPECT_LT(serial.schedule.size(), full.schedule.size()) << label;
+
+      std::string parallel_metrics;
+      std::string parallel_trace;
+      const StagingResult parallel = run_stopped_after(
+          spec, scenario, 8, half, &parallel_metrics, &parallel_trace);
+      expect_equivalent(scenario, parallel, serial, label + " engine_jobs=8");
+      EXPECT_EQ(parallel.iterations, serial.iterations) << label;
+      EXPECT_EQ(parallel.dijkstra_runs, serial.dijkstra_runs) << label;
+      EXPECT_EQ(parallel_metrics, serial_metrics) << label;
+      EXPECT_EQ(parallel_trace, serial_trace) << label;
       ++case_index;
     }
   }

@@ -136,8 +136,35 @@ TEST(CommonFlagsTest, MakeEngineOptionsDefaultsToMidAxis) {
   EXPECT_EQ(options.eu.we, mid.we);
   EXPECT_EQ(options.eu.wu, mid.wu);
   EXPECT_FALSE(options.paranoid);
+  EXPECT_EQ(options.engine_jobs, 1u);
   EXPECT_EQ(options.observer, nullptr);
   EXPECT_EQ(options.weighting.weight(kPriorityHigh), 100.0);
+}
+
+TEST(CommonFlagsTest, EngineJobsIsNotASharedFlag) {
+  // Only tools that build their engines from make_engine_options register
+  // --engine-jobs; the shared set rejects it.
+  const std::vector<const char*> argv = {"tool", "--engine-jobs=8"};
+  CliFlags flags;
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data(),
+                           with_common_flags()));
+  ::testing::internal::GetCapturedStderr();
+}
+
+TEST(CommonFlagsTest, MakeEngineOptionsCarriesEngineJobs) {
+  const std::vector<const char*> argv = {"tool", "--engine-jobs=8"};
+  CliFlags flags;
+  ASSERT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data(),
+                          with_common_flags({"engine-jobs"})));
+  Observability obs;
+  ASSERT_TRUE(obs.open(flags));
+  const EngineOptions options =
+      make_engine_options(flags, PriorityWeighting::w_1_10_100(), obs);
+  EXPECT_EQ(options.engine_jobs, 8u);
+  EXPECT_EQ(options.engine_pool, nullptr);
+  // A default-constructed EngineOptions stays serial: no flag reaches it.
+  EXPECT_EQ(EngineOptions{}.engine_jobs, 1u);
 }
 
 TEST(CommonFlagsTest, MakeEngineOptionsWiresRatioParanoidAndObserver) {

@@ -227,4 +227,13 @@ status=0
 test "$status" -eq 2
 grep -q "cannot load scenario" "$WORK_DIR/verify_err.txt"
 
+# --engine-jobs reaches only engines built from the tool's EngineOptions
+# (datastage_run, datastage_serve); datastage_repro's harness engines are
+# serial, so it rejects the flag instead of ignoring it.
+status=0
+"$TOOLS_DIR/datastage_repro" --cases=1 --engine-jobs=2 \
+    > /dev/null 2> "$WORK_DIR/repro_err.txt" || status=$?
+test "$status" -eq 1
+grep -q "unknown flag --engine-jobs" "$WORK_DIR/repro_err.txt"
+
 echo "tools smoke test passed"

@@ -6,16 +6,14 @@
 
 #include "harness/parallel.hpp"
 #include "obs/openmetrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace datastage::toolflags {
 
 std::vector<std::string> with_common_flags(std::vector<std::string> extra) {
   std::vector<std::string> names{"seed",           "weighting",
-                                 "jobs",           "engine-jobs",
-                                 "paranoid",       "metrics-out",
-                                 "metrics-format", "trace-out",
-                                 "chrome-trace-out"};
+                                 "jobs",           "paranoid",
+                                 "metrics-out",    "metrics-format",
+                                 "trace-out",      "chrome-trace-out"};
   names.insert(names.end(), extra.begin(), extra.end());
   return names;
 }
@@ -37,13 +35,6 @@ std::uint64_t seed_flag(const CliFlags& flags, std::uint64_t fallback) {
 std::size_t apply_jobs_flag(const CliFlags& flags) {
   set_default_jobs(static_cast<std::size_t>(flags.get_int("jobs", 0)));
   return default_jobs();
-}
-
-std::size_t apply_engine_jobs_flag(const CliFlags& flags) {
-  const auto requested =
-      static_cast<std::size_t>(flags.get_int("engine-jobs", 1));
-  set_default_engine_jobs(requested);
-  return requested == 0 ? ThreadPool::hardware_jobs() : requested;
 }
 
 bool open_output_file(std::ofstream& out, const std::string& path,
@@ -162,6 +153,7 @@ EngineOptions make_engine_options(const CliFlags& flags,
       .weighting(weighting)
       .eu(EUWeights::from_log10_ratio(flags.get_double("ratio", 1.0)))
       .paranoid(flags.get_bool("paranoid", false))
+      .engine_jobs(static_cast<std::size_t>(flags.get_int("engine-jobs", 1)))
       .observer(observability.observer())
       .build();
 }

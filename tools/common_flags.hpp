@@ -16,15 +16,17 @@
 //   --weighting=W       "1,10,100" (default) or "1,5,10"
 //   --jobs=N            worker threads for experiment fan-out (0/default:
 //                       hardware concurrency; output is jobs-independent)
-//   --engine-jobs=N     worker threads *inside* each engine for parallel plan
-//                       refresh (default 1 = serial; 0 = hardware
-//                       concurrency; output is engine-jobs-independent)
 //   --paranoid          disable the engine's route-tree cache
 //   --metrics-out=F     write a metrics document to F
 //   --metrics-format=X  "json" (default) or "openmetrics" (Prometheus text)
 //   --trace-out=F       write a JSON-lines structured run trace to F
 //   --chrome-trace-out=F write a Chrome Trace Event JSON file to F (only
 //                       tools that produce a schedule emit content)
+//
+// Not in the shared set: --engine-jobs=N (worker threads *inside* each
+// engine for parallel plan refresh; default 1 = serial, 0 = hardware
+// concurrency; output is engine-jobs-independent). make_engine_options reads
+// it, so only tools that build engines from that EngineOptions register it.
 #pragma once
 
 #include <cstdint>
@@ -53,12 +55,6 @@ std::uint64_t seed_flag(const CliFlags& flags, std::uint64_t fallback);
 /// Applies --jobs to the process-wide parallel executor
 /// (harness/parallel.hpp) and returns the resolved worker count.
 std::size_t apply_jobs_flag(const CliFlags& flags);
-
-/// Applies --engine-jobs to the process-wide engine default
-/// (core/engine.hpp), so every EngineOptions constructed afterwards —
-/// including those built deep inside the harness — inherits it. Returns the
-/// resolved per-engine worker count (1 = serial).
-std::size_t apply_engine_jobs_flag(const CliFlags& flags);
 
 /// --metrics-out/--trace-out plumbing: owns the registry, phase timer and
 /// trace sink, and exposes the observer EngineOptions wants. Inactive (all
@@ -118,8 +114,8 @@ class Observability {
 
 /// The one place observability/guard/paranoid wiring turns into
 /// EngineOptions: weighting from the caller (already parsed), --ratio (the
-/// paper's mid-axis 10^1 when absent), --paranoid, and the Observability
-/// observer. Tool-specific knobs layer on top via EngineOptionsBuilder.
+/// paper's mid-axis 10^1 when absent), --paranoid, --engine-jobs (1 when
+/// absent) and the Observability observer. Tool-specific knobs layer on top via EngineOptionsBuilder.
 EngineOptions make_engine_options(const CliFlags& flags,
                                   const PriorityWeighting& weighting,
                                   Observability& observability);

@@ -34,8 +34,7 @@ std::string csv_path(const std::string& outdir, const std::string& name) {
 int main(int argc, char** argv) {
   CliFlags flags;
   if (!flags.parse(argc, argv, {"cases", "seed", "outdir", "verbose", "jobs",
-                                "engine-jobs", "metrics-out",
-                                "metrics-format"})) {
+                                "metrics-out", "metrics-format"})) {
     return 1;
   }
 
@@ -52,11 +51,6 @@ int main(int argc, char** argv) {
   if (!outdir.empty()) std::filesystem::create_directories(outdir);
   if (flags.get_bool("verbose", false)) set_log_level(LogLevel::kInfo);
   toolflags::apply_jobs_flag(flags);
-  // Engines built inside the harness (sweep_pairs, run_cases, the bounds
-  // baselines) all default-construct EngineOptions, so the process-wide
-  // engine-jobs default is the only way the flag reaches them. The output is
-  // engine-jobs-independent; the determinism smoke test byte-compares it.
-  toolflags::apply_engine_jobs_flag(flags);
 
   const PriorityWeighting weighting = PriorityWeighting::w_1_10_100();
   std::printf("datastage paper reproduction — cases=%zu seed=%llu weighting=%s\n\n",

@@ -27,6 +27,12 @@
 //                      --jobs). Sweeps --scheduler when given, else
 //                      partial/C4 and full_one/C4
 //   --fault-seed=N     seed of the --fault-sweep fault draw (default 9000)
+//   --engine-jobs=N    worker threads inside the engine for parallel plan
+//                      refresh (default 1; 0 = hardware concurrency). Reaches
+//                      the heuristic/criterion schedulers and the --faults
+//                      recovery stager; the baselines, the beam search and
+//                      the sweeps run serial engines. Output is
+//                      byte-identical for any value
 // Plus the shared tool flags (tools/common_flags.hpp):
 //   --seed=N           RNG seed for the random baselines
 //   --weighting=W      1,10,100 (default) or 1,5,10
@@ -175,7 +181,7 @@ int main(int argc, char** argv) {
   CliFlags flags;
   const std::vector<std::string> known = toolflags::with_common_flags(
       {"scheduler", "ratio", "report", "trace", "save", "width", "sweep", "csv",
-       "faults", "fault-sweep", "fault-seed"});
+       "faults", "fault-sweep", "fault-seed", "engine-jobs"});
   if (!flags.parse(argc, argv, known)) return 1;
   if (flags.positional().size() != 1) {
     std::fprintf(stderr, "usage: datastage_run <scenario-file> [flags]\n");
@@ -200,9 +206,6 @@ int main(int argc, char** argv) {
   const std::optional<PriorityWeighting> weighting = toolflags::parse_weighting(flags);
   if (!weighting.has_value()) return 1;
   const std::uint64_t seed = toolflags::seed_flag(flags, 1);
-  // Applies to every engine this process constructs, including the ones the
-  // sweep harnesses build internally.
-  toolflags::apply_engine_jobs_flag(flags);
 
   if (flags.get_bool("sweep", false)) {
     toolflags::apply_jobs_flag(flags);

@@ -26,6 +26,10 @@
 //   --latency-budget-usec=N  soft per-decision SLO; overruns are counted in
 //                          admission.budget_overruns (metrics only)
 //   --no-quick             disable the two-stage quick admission path
+//   --engine-jobs=N        worker threads inside each replanning engine
+//                          (default 1; 0 = hardware concurrency); the stager
+//                          keeps one pool for the whole session. Decision
+//                          logs are byte-identical for any value
 // plus the common flags (--weighting, --ratio, --paranoid, --jobs,
 // --metrics-out, --metrics-format, --trace-out).
 //
@@ -50,7 +54,7 @@ int main(int argc, char** argv) {
   CliFlags flags;
   const std::vector<std::string> known = toolflags::with_common_flags(
       {"scenario", "faults", "scheduler", "script", "decision-log",
-       "latency-budget-usec", "no-quick"});
+       "latency-budget-usec", "no-quick", "engine-jobs"});
   if (!flags.parse(argc, argv, known)) return 1;
 
   const std::string scenario_path = flags.get_string("scenario", "");
@@ -76,7 +80,6 @@ int main(int argc, char** argv) {
       toolflags::parse_weighting(flags);
   if (!weighting.has_value()) return 1;
   toolflags::apply_jobs_flag(flags);
-  toolflags::apply_engine_jobs_flag(flags);
 
   toolflags::Observability observability;
   if (!observability.open(flags)) return 2;
