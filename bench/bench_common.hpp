@@ -11,9 +11,11 @@
 #pragma once
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common_flags.hpp"
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
 #include "harness/report.hpp"
@@ -96,19 +98,11 @@ inline bool parse_bench_flags(int argc, const char* const* argv, BenchSetup& set
 
   // 0 = hardware concurrency; the harness entry points all fan out through
   // the process-wide executor configured here.
-  set_default_jobs(static_cast<std::size_t>(flags.get_int("jobs", 0)));
-  setup.jobs = default_jobs();
+  setup.jobs = toolflags::apply_jobs_flag(flags);
 
-  const std::string weighting = flags.get_string("weighting", "1,10,100");
-  if (weighting == "1,10,100") {
-    setup.weighting = PriorityWeighting::w_1_10_100();
-  } else if (weighting == "1,5,10") {
-    setup.weighting = PriorityWeighting::w_1_5_10();
-  } else {
-    std::fprintf(stderr, "unknown --weighting '%s' (use 1,10,100 or 1,5,10)\n",
-                 weighting.c_str());
-    return false;
-  }
+  const std::optional<PriorityWeighting> weighting = toolflags::parse_weighting(flags);
+  if (!weighting.has_value()) return false;
+  setup.weighting = *weighting;
   return true;
 }
 

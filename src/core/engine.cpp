@@ -440,7 +440,6 @@ void StagingEngine::classify_requests(ItemId item, const ItemPlan& plan) {
 void StagingEngine::build_candidates_local(ItemId item, ItemPlan& plan,
                                            RefreshWorkspace& ws) {
   ++plan.generation;  // existing tournament entries for this plan go stale
-  for (Candidate& c : plan.candidates) ws.dest_pool.release(std::move(c.dests));
   plan.candidates.clear();
   plan.used_links.clear();
   plan.used_storage.clear();
@@ -509,7 +508,6 @@ void StagingEngine::build_candidates_local(ItemId item, ItemPlan& plan,
         Candidate c;
         c.item = item;
         c.hop = hop;
-        c.dests = ws.dest_pool.acquire();
         c.dests.push_back(eval);
         c.cost = evaluate_cost(options_.criterion, options_.eu, c.dests);
         plan.candidates.push_back(std::move(c));
@@ -518,7 +516,6 @@ void StagingEngine::build_candidates_local(ItemId item, ItemPlan& plan,
       Candidate c;
       c.item = item;
       c.hop = hop;
-      c.dests = ws.dest_pool.acquire();
       c.dests.reserve(hi - lo);
       for (std::size_t g = lo; g < hi; ++g) c.dests.push_back(groups[g].eval);
       c.cost = evaluate_cost(options_.criterion, options_.eu, c.dests);

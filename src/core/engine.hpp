@@ -45,7 +45,6 @@
 #include "net/topology.hpp"
 #include "routing/dijkstra.hpp"
 #include "routing/path.hpp"
-#include "util/arena.hpp"
 
 namespace datastage {
 
@@ -83,56 +82,6 @@ struct EngineOptions {
   /// replans instead of paying thread spawn per engine instance. The caller
   /// must keep the pool alive for the engine's lifetime.
   ThreadPool* engine_pool = nullptr;
-};
-
-/// Fluent construction of EngineOptions, so every call site wires weighting,
-/// criterion, guard, paranoid mode and observability the same way instead of
-/// mutating a default-constructed struct field by field. Tools should prefer
-/// toolflags::make_engine_options, which layers flag parsing on top.
-///
-///   EngineOptions options = EngineOptionsBuilder()
-///                               .weighting(PriorityWeighting::w_1_5_10())
-///                               .criterion(CostCriterion::kC1)
-///                               .observer(&observer)
-///                               .build();
-class EngineOptionsBuilder {
- public:
-  EngineOptionsBuilder& weighting(const PriorityWeighting& weighting) {
-    options_.weighting = weighting;
-    return *this;
-  }
-  EngineOptionsBuilder& criterion(CostCriterion criterion) {
-    options_.criterion = criterion;
-    return *this;
-  }
-  EngineOptionsBuilder& eu(const EUWeights& eu) {
-    options_.eu = eu;
-    return *this;
-  }
-  EngineOptionsBuilder& paranoid(bool paranoid = true) {
-    options_.paranoid = paranoid;
-    return *this;
-  }
-  EngineOptionsBuilder& max_iterations(std::size_t max_iterations) {
-    options_.max_iterations = max_iterations;
-    return *this;
-  }
-  EngineOptionsBuilder& observer(obs::RunObserver* observer) {
-    options_.observer = observer;
-    return *this;
-  }
-  EngineOptionsBuilder& engine_jobs(std::size_t jobs) {
-    options_.engine_jobs = jobs;
-    return *this;
-  }
-  EngineOptionsBuilder& engine_pool(ThreadPool* pool) {
-    options_.engine_pool = pool;
-    return *this;
-  }
-  EngineOptions build() const { return options_; }
-
- private:
-  EngineOptions options_;
 };
 
 /// A valid next communication step: move `item` over `hop` (the shared first
@@ -251,16 +200,14 @@ class StagingEngine {
   };
 
   /// Per-worker scratch for the compute phase: a Dijkstra workspace, the
-  /// target buffer, the node-mark epoch set, and the pooled buffers the
-  /// candidate rebuild recycles round over round (destination groups, path
-  /// walks). refresh_ws_[0] doubles as the serial path's scratch, so serial
-  /// and parallel runs share one code path.
+  /// target buffer, the node-mark epoch set and the path-walk buffer the
+  /// candidate rebuild reuses round over round. refresh_ws_[0] doubles as the
+  /// serial path's scratch, so serial and parallel runs share one code path.
   struct RefreshWorkspace {
     DijkstraWorkspace ws;
     std::vector<MachineId> targets;
     std::vector<std::uint64_t> node_mark;
     std::uint64_t node_mark_epoch = 0;
-    VectorPool<DestinationEval> dest_pool;
     std::vector<TreeEdge> path_scratch;
   };
 

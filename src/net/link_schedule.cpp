@@ -29,7 +29,6 @@ void LinkSchedule::reserve(VirtLinkId link, std::int64_t item_bytes, SimTime sta
   const Interval iv{start, start + dur};
   DS_ASSERT_MSG(vl.window.contains(iv), "reservation outside link window");
   busy_[link.index()].insert_disjoint(iv);
-  total_reserved_ = total_reserved_ + iv.length();
 }
 
 }  // namespace datastage

@@ -5,17 +5,18 @@
 // track *usage* as a piecewise-constant step function keyed by breakpoints;
 // free capacity over a window is capacity minus the maximum usage inside it.
 //
-// Layout: the breakpoints live in bounded chunks, the same shape as
-// util/chunked_intervals (kChunk = 32, split at 2 * kChunk). Each chunk
-// carries the maximum of its breakpoints' stored usage and a lazy `add`
-// that applies to every breakpoint in it. allocate() splits the step
-// function at the window's begin (and end, when finite), adds the bytes
-// directly to the partially covered edge chunks and to the lazy `add` of
-// every chunk wholly inside the window. max_usage() reads the edge chunks
-// breakpoint by breakpoint and every chunk wholly inside the window as
-// `max + add`. With C chunks and n breakpoints in the window, a query
-// costs O(log C + n / kChunk + kChunk) and is exact: destination holds run
-// to infinity, so fit checks no longer scan every later breakpoint.
+// Layout: the breakpoints live in a sorted sequence of bounded chunks; a
+// chunk that reaches 2 * kChunk breakpoints (kChunk = 32) splits in half, so
+// a new breakpoint shifts one chunk, not the whole tail. Each chunk carries
+// the maximum of its breakpoints' stored usage and a lazy `add` that applies
+// to every breakpoint in it. allocate() splits the step function at the
+// window's begin (and end, when finite), adds the bytes directly to the
+// partially covered edge chunks and to the lazy `add` of every chunk wholly
+// inside the window. max_usage() reads the edge chunks breakpoint by
+// breakpoint and every chunk wholly inside the window as `max + add`. With C
+// chunks and n breakpoints in the window, a query costs
+// O(log C + n / kChunk + kChunk) and is exact: destination holds run to
+// infinity, so fit checks no longer scan every later breakpoint.
 //
 // Times at or beyond SimTime::infinity() are the end of time: a window
 // ending there covers every later breakpoint and splits nothing at its end.
@@ -56,7 +57,7 @@ class StorageTimeline {
 
  private:
   // Split threshold 2 * kChunk keeps every chunk in [kChunk, 2 * kChunk)
-  // after its first split, as in ChunkedIntervalSet.
+  // after its first split.
   static constexpr std::size_t kChunk = 32;
 
   // Usage level starting at `time`, lasting until the next breakpoint. The

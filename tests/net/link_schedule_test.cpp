@@ -75,16 +75,6 @@ TEST(LinkScheduleTest, FitSnugAgainstWindowEnd) {
   EXPECT_EQ(fit->arrival, at_min(10));
 }
 
-TEST(LinkScheduleTest, TotalReservedAccumulates) {
-  const Scenario s = one_link_scenario();
-  LinkSchedule schedule(s);
-  EXPECT_EQ(schedule.total_reserved(), SimDuration::zero());
-  schedule.reserve(VirtLinkId(0), 1'000'000, SimTime::zero());
-  schedule.reserve(VirtLinkId(0), 1'000'000, at_sec(10));
-  EXPECT_EQ(schedule.total_reserved(),
-            (SimDuration::seconds(1) + SimDuration::milliseconds(100)) * 2);
-}
-
 TEST(LinkScheduleDeathTest, ReserveOutsideWindowAborts) {
   const Scenario s = one_link_scenario();
   LinkSchedule schedule(s);

@@ -199,6 +199,11 @@ assert finish["ok"] and finish["cmd"] == "shutdown", finish
 assert finish["requests"] > 0 and finish["satisfied"] > 0, finish
 PYEOF
 
+# --ratio is one of the common engine flags datastage_serve documents: the
+# same scripted session must run with it.
+"$TOOLS_DIR/datastage_serve" --scenario="$WORK_DIR/case.ds" \
+    --script="$WORK_DIR/serve_script.txt" --ratio=2 > /dev/null
+
 # A bad --decision-log path fails eagerly with exit 2, like every sink flag.
 status=0
 "$TOOLS_DIR/datastage_serve" --scenario="$WORK_DIR/case.ds" \

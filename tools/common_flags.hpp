@@ -115,7 +115,8 @@ class Observability {
 /// The one place observability/guard/paranoid wiring turns into
 /// EngineOptions: weighting from the caller (already parsed), --ratio (the
 /// paper's mid-axis 10^1 when absent), --paranoid, --engine-jobs (1 when
-/// absent) and the Observability observer. Tool-specific knobs layer on top via EngineOptionsBuilder.
+/// absent) and the Observability observer. Tools set their own knobs on the
+/// returned aggregate.
 EngineOptions make_engine_options(const CliFlags& flags,
                                   const PriorityWeighting& weighting,
                                   Observability& observability);

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   CliFlags flags;
   const std::vector<std::string> known = toolflags::with_common_flags(
       {"scenario", "faults", "scheduler", "script", "decision-log",
-       "latency-budget-usec", "no-quick", "engine-jobs"});
+       "latency-budget-usec", "no-quick", "engine-jobs", "ratio"});
   if (!flags.parse(argc, argv, known)) return 1;
 
   const std::string scenario_path = flags.get_string("scenario", "");
